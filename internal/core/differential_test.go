@@ -16,12 +16,13 @@ import (
 // TestDifferentialILPvsBnB is the cross-solver differential harness: the
 // repository has two independent exact engines — the monolithic MILP
 // (SolveILP over package ilp) and the conflict-driven combinatorial
-// branch-and-bound (SolveBnB) — so on any instance where both terminate
-// with a proof they must agree on feasibility and, when feasible, on the
-// optimal cost. A corpus of randomized small clips crossed with
-// representative rule configurations exercises both engines over SADP,
-// via-adjacency and plain instances; any disagreement writes the clip as a
-// JSON reproducer file and fails with its path.
+// branch-and-bound (SolveBnB) — so they must agree on feasibility and, when
+// feasible, on the optimal cost. A corpus of randomized small clips crossed
+// with representative rule configurations exercises both engines over SADP,
+// via-adjacency and plain instances. Every instance is small enough that
+// both engines prove it well within budget, so an unproven solve fails the
+// subtest instead of silently dropping its comparison; any disagreement
+// writes the clip as a JSON reproducer file and fails with its path.
 func TestDifferentialILPvsBnB(t *testing.T) {
 	seeds := []int64{1, 2, 3, 4, 5, 6, 7, 8}
 	if testing.Short() {
@@ -59,7 +60,8 @@ func TestDifferentialILPvsBnB(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !bnb.Proven || !milp.Proven {
-					t.Skipf("no proof within budget (bnb=%v milp=%v)", bnb.Proven, milp.Proven)
+					t.Fatalf("no proof within budget (bnb=%v milp=%v); reproducer: %s",
+						bnb.Proven, milp.Proven, dumpReproducer(t, c, rn))
 				}
 				if bnb.Feasible != milp.Feasible {
 					t.Errorf("feasibility disagreement: bnb=%v milp=%v; reproducer: %s",

@@ -96,15 +96,15 @@ type SolveStats struct {
 	LPBTRANNnz   int64         // sparse BTRAN result nonzeros (deterministic work)
 	LPTime       time.Duration // wall time inside the LP subsolver
 	// Pricing and presolve telemetry of the LP engine (zero for the
-	// combinatorial BnB and for Dantzig/no-presolve configurations).
+	// combinatorial BnB).
 	LPCandidateHits  int // pricing rounds served from the candidate list
-	LPRefResets      int // devex/steepest reference-framework resets
+	LPRefResets      int // devex reference-framework resets
 	LPDualBoundFlips int // bound-flip ratio-test flips across warm starts
 	PresolveRows     int // rows removed by structural LP presolve
 	PresolveCols     int // columns removed by structural LP presolve
 	// Refactorization triggers across all node LPs: update-count budget,
 	// update-storage fill budget, tiny mid-iteration pivot, rejected
-	// FT/PFI update on spike-pivot quality.
+	// FT update on spike-pivot quality.
 	LPRefactorEtaLen         int
 	LPRefactorFill           int
 	LPRefactorPivotQuality   int

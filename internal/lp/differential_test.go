@@ -54,8 +54,8 @@ func randomLP(rng *rand.Rand) *Problem {
 	return p
 }
 
-// cloneProblem rebuilds an identical Problem (fresh caches) so the two
-// engines never share a cached simplex.
+// cloneProblem rebuilds an identical Problem (fresh caches) so two solves
+// never share a cached simplex.
 func cloneProblem(p *Problem) *Problem {
 	q := NewProblem()
 	for j := 0; j < p.NumVars(); j++ {
@@ -69,27 +69,27 @@ func cloneProblem(p *Problem) *Problem {
 	return q
 }
 
-// TestEngineDifferential fuzzes random bounded LPs through both linear-
-// algebra engines and requires agreement on status and (when optimal)
-// objective within tolerance. This is the answer-preservation gate for the
-// sparse factorization: the dense inverse is the reference.
+// TestEngineDifferential fuzzes random bounded LPs through the engine and
+// the independent reference simplex (reference_test.go) and requires
+// agreement on status and (when optimal) objective within tolerance. This
+// is the answer-preservation gate for the engine's default cold path.
 func TestEngineDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
 	counts := map[Status]int{}
 	for trial := 0; trial < 400; trial++ {
 		p := randomLP(rng)
-		sp := p.Solve(Options{Engine: EngineSparse})
-		de := cloneProblem(p).Solve(Options{Engine: EngineDense})
-		if sp.Status != de.Status {
-			t.Fatalf("trial %d: status sparse=%v dense=%v", trial, sp.Status, de.Status)
+		sp := p.Solve(Options{})
+		ref := refSolve(p)
+		if sp.Status != ref.Status {
+			t.Fatalf("trial %d: status engine=%v reference=%v", trial, sp.Status, ref.Status)
 		}
 		counts[sp.Status]++
 		if sp.Status == Optimal {
-			if math.Abs(sp.Obj-de.Obj) > 1e-6*(1+math.Abs(de.Obj)) {
-				t.Fatalf("trial %d: obj sparse=%.12g dense=%.12g", trial, sp.Obj, de.Obj)
+			if math.Abs(sp.Obj-ref.Obj) > 1e-6*(1+math.Abs(ref.Obj)) {
+				t.Fatalf("trial %d: obj engine=%.12g reference=%.12g", trial, sp.Obj, ref.Obj)
 			}
-			// The sparse solution must itself be feasible — agreement on the
-			// objective alone could mask a corrupted primal vector.
+			// The engine's solution must itself be feasible — agreement on
+			// the objective alone could mask a corrupted primal vector.
 			checkFeasible(t, trial, p, sp.X)
 		}
 	}
@@ -102,79 +102,53 @@ func TestEngineDifferential(t *testing.T) {
 
 func checkFeasible(t *testing.T, trial int, p *Problem, x []float64) {
 	t.Helper()
-	const tol = 1e-6
-	for j := 0; j < p.NumVars(); j++ {
-		lo, hi := p.VarBounds(j)
-		if x[j] < lo-tol || x[j] > hi+tol {
-			t.Fatalf("trial %d: x[%d]=%g outside [%g,%g]", trial, j, x[j], lo, hi)
-		}
+	if v := feasViolation(p, x); v != "" {
+		t.Fatalf("trial %d: %s", trial, v)
 	}
-	for i := 0; i < p.NumRows(); i++ {
-		coeffs, sense, rhs := p.Row(i)
-		ax := 0.0
-		for _, c := range coeffs {
-			ax += c.Val * x[c.Var]
+}
+
+// warmDive runs a branch-and-bound-style dive on assignmentLP(n): each node
+// fixes one more variable and reoptimizes from the previous node's basis.
+// solve performs the node solve; after every node the engine's status and
+// objective must match the reference simplex on the same bounds, and an
+// optimal primal vector must be feasible. The dive stops at the first
+// non-optimal node.
+func warmDive(t *testing.T, n int, solve func(p *Problem, basis *Basis) Result) {
+	t.Helper()
+	p := assignmentLP(n)
+	res := p.Solve(Options{SnapshotBasis: true})
+	if res.Status != Optimal {
+		t.Fatalf("root status %v", res.Status)
+	}
+	basis := res.Basis
+	for step := 0; step < 3*n; step++ {
+		j := (step * 7) % (n * n)
+		v := float64(step % 2)
+		p.SetVarBounds(j, v, v)
+		r := solve(p, basis)
+		ref := refSolve(p)
+		if r.Status != ref.Status {
+			t.Fatalf("node %d: status engine=%v reference=%v", step, r.Status, ref.Status)
 		}
-		switch sense {
-		case LE:
-			if ax > rhs+tol {
-				t.Fatalf("trial %d: row %d: %g > %g", trial, i, ax, rhs)
-			}
-		case GE:
-			if ax < rhs-tol {
-				t.Fatalf("trial %d: row %d: %g < %g", trial, i, ax, rhs)
-			}
-		case EQ:
-			if math.Abs(ax-rhs) > tol {
-				t.Fatalf("trial %d: row %d: %g != %g", trial, i, ax, rhs)
-			}
+		if r.Status != Optimal {
+			return
+		}
+		if math.Abs(r.Obj-ref.Obj) > 1e-6 {
+			t.Fatalf("node %d: obj engine=%g reference=%g", step, r.Obj, ref.Obj)
+		}
+		checkFeasible(t, step, p, r.X)
+		if r.Basis != nil {
+			basis = r.Basis
 		}
 	}
 }
 
-// TestEngineDifferentialWarm runs the same branch-and-bound-style dive under
-// both engines — warm starts, cached-engine reoptimization and snapshot
-// restores included — and requires identical statuses and objectives at every
-// node. This covers the dual-simplex restore path, which the cold fuzz above
-// never reaches.
+// TestEngineDifferentialWarm runs the dive with warm starts on one Problem,
+// so every node reoptimizes the cached engine in place (reSolve: bound
+// reload, dual restore, primal certification). This covers the
+// dual-simplex restore path, which the cold fuzz above never reaches.
 func TestEngineDifferentialWarm(t *testing.T) {
-	const n = 6
-	run := func(engine Engine) ([]Status, []float64) {
-		p := assignmentLP(n)
-		res := p.Solve(Options{SnapshotBasis: true, Engine: engine})
-		if res.Status != Optimal {
-			t.Fatalf("engine %v: root status %v", engine, res.Status)
-		}
-		basis := res.Basis
-		var sts []Status
-		var objs []float64
-		for step := 0; step < 3*n; step++ {
-			j := (step * 7) % (n * n)
-			v := float64(step % 2)
-			p.SetVarBounds(j, v, v)
-			r := p.Solve(Options{WarmStart: basis, SnapshotBasis: true, Engine: engine})
-			sts = append(sts, r.Status)
-			objs = append(objs, r.Obj)
-			if r.Status != Optimal {
-				break
-			}
-			if r.Basis != nil {
-				basis = r.Basis
-			}
-		}
-		return sts, objs
-	}
-	sSt, sObj := run(EngineSparse)
-	dSt, dObj := run(EngineDense)
-	if len(sSt) != len(dSt) {
-		t.Fatalf("dive lengths differ: sparse=%d dense=%d", len(sSt), len(dSt))
-	}
-	for k := range sSt {
-		if sSt[k] != dSt[k] {
-			t.Fatalf("node %d: status sparse=%v dense=%v", k, sSt[k], dSt[k])
-		}
-		if sSt[k] == Optimal && math.Abs(sObj[k]-dObj[k]) > 1e-6 {
-			t.Fatalf("node %d: obj sparse=%g dense=%g", k, sObj[k], dObj[k])
-		}
-	}
+	warmDive(t, 6, func(p *Problem, basis *Basis) Result {
+		return p.Solve(Options{WarmStart: basis, SnapshotBasis: true})
+	})
 }

@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,7 +9,7 @@ import (
 
 // randBasisColumns builds m deterministic, diagonally dominant sparse columns
 // (so the matrix is guaranteed nonsingular) plus extra off-basis columns that
-// eta-update tests can bring in. Returns the column arrays and the identity
+// update tests can bring in. Returns the column arrays and the identity
 // basis over the first m columns.
 func randBasisColumns(rng *rand.Rand, m, extra int) (colIdx [][]int32, colVal [][]float64, basis []int) {
 	ncols := m + extra
@@ -74,9 +75,70 @@ func mulBasis(m int, basis []int, colIdx [][]int32, colVal [][]float64, x []floa
 	return out
 }
 
-// TestLUFactorizeSolves checks the FTRAN/BTRAN contracts against direct
-// matrix-vector products: x = ftran(a) must satisfy B x = a, and
-// y = btran(c) must satisfy y' B = c'.
+// checkFTRAN solves B x = a for a random sparse a through f and checks the
+// residual against a direct matrix-vector product.
+func checkFTRAN(t *testing.T, rng *rand.Rand, f *luFactor, basis []int, colIdx [][]int32, colVal [][]float64, tol float64, where string) {
+	t.Helper()
+	m := len(basis)
+	var a, out spVec
+	a.grow(m)
+	out.grow(m)
+	rhs := make([]float64, m)
+	for k := 0; k < 1+rng.Intn(3); k++ {
+		i := int32(rng.Intn(m))
+		v := rng.Float64()*4 - 2
+		a.add(i, v)
+		rhs[i] += v
+	}
+	f.ftran(&a, &out)
+	x := make([]float64, m)
+	for _, i := range out.ind {
+		x[i] = out.val[i]
+	}
+	got := mulBasis(m, basis, colIdx, colVal, x)
+	for i := 0; i < m; i++ {
+		if math.Abs(got[i]-rhs[i]) > tol {
+			t.Fatalf("%s m=%d: FTRAN residual %g at row %d (updates=%d)",
+				where, m, got[i]-rhs[i], i, f.ft.updates)
+		}
+	}
+}
+
+// checkBTRAN solves y B = c for a random sparse c (indexed by basis
+// position) through f and checks y·B_j = c_j for every basis position.
+func checkBTRAN(t *testing.T, rng *rand.Rand, f *luFactor, basis []int, colIdx [][]int32, colVal [][]float64, tol float64, where string) {
+	t.Helper()
+	m := len(basis)
+	var a, out spVec
+	a.grow(m)
+	out.grow(m)
+	c := make([]float64, m)
+	for k := 0; k < 1+rng.Intn(3); k++ {
+		i := int32(rng.Intn(m))
+		v := rng.Float64()*4 - 2
+		a.add(i, v)
+		c[i] += v
+	}
+	f.btran(&a, &out)
+	y := make([]float64, m)
+	for _, i := range out.ind {
+		y[i] = out.val[i]
+	}
+	for pos, j := range basis {
+		dot := 0.0
+		for k, i := range colIdx[j] {
+			dot += y[i] * colVal[j][k]
+		}
+		if math.Abs(dot-c[pos]) > tol {
+			t.Fatalf("%s m=%d: BTRAN residual %g at position %d (updates=%d)",
+				where, m, dot-c[pos], pos, f.ft.updates)
+		}
+	}
+}
+
+// TestLUFactorizeSolves checks the FTRAN/BTRAN contracts of a fresh
+// factorization against direct matrix-vector products: x = ftran(a) must
+// satisfy B x = a, and y = btran(c) must satisfy y' B = c'.
 func TestLUFactorizeSolves(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
@@ -86,63 +148,21 @@ func TestLUFactorizeSolves(t *testing.T) {
 		if !f.factorize(m, basis, colIdx, colVal) {
 			t.Fatalf("trial %d: factorize declared a dominant matrix singular", trial)
 		}
-
-		var a, out spVec
-		a.grow(m)
-		out.grow(m)
-
-		// FTRAN with a sparse rhs.
-		a.reset()
-		rhs := make([]float64, m)
-		for k := 0; k < 1+rng.Intn(3); k++ {
-			i := int32(rng.Intn(m))
-			v := rng.Float64()*4 - 2
-			a.add(i, v)
-			rhs[i] += v
-		}
-		f.ftran(&a, &out)
-		x := make([]float64, m)
-		for _, i := range out.ind {
-			x[i] = out.val[i]
-		}
-		got := mulBasis(m, basis, colIdx, colVal, x)
-		for i := 0; i < m; i++ {
-			if math.Abs(got[i]-rhs[i]) > 1e-8 {
-				t.Fatalf("trial %d m=%d: FTRAN residual %g at row %d", trial, m, got[i]-rhs[i], i)
-			}
-		}
-
-		// BTRAN with a sparse rhs (indexed by basis position).
-		a.reset()
-		c := make([]float64, m)
-		for k := 0; k < 1+rng.Intn(3); k++ {
-			i := int32(rng.Intn(m))
-			v := rng.Float64()*4 - 2
-			a.add(i, v)
-			c[i] += v
-		}
-		f.btran(&a, &out)
-		y := make([]float64, m)
-		for _, i := range out.ind {
-			y[i] = out.val[i]
-		}
-		for pos, j := range basis {
-			dot := 0.0
-			for k, i := range colIdx[j] {
-				dot += y[i] * colVal[j][k]
-			}
-			if math.Abs(dot-c[pos]) > 1e-8 {
-				t.Fatalf("trial %d m=%d: BTRAN residual %g at position %d", trial, m, dot-c[pos], pos)
-			}
-		}
+		where := fmt.Sprintf("trial %d", trial)
+		checkFTRAN(t, rng, f, basis, colIdx, colVal, 1e-8, where)
+		checkBTRAN(t, rng, f, basis, colIdx, colVal, 1e-8, where)
 	}
 }
 
-// TestLUEtaUpdate performs a chain of basis exchanges through product-form
-// eta updates and re-checks the FTRAN contract against the exchanged basis
-// after every step — the invariant the simplex pivot loop depends on.
+// TestLUEtaUpdate performs a chain of basis exchanges through Forrest-Tomlin
+// updates and re-checks both solve contracts against the exchanged basis
+// after every step — FTRAN (B x = a, the pivot-column transform) and BTRAN
+// (y B = c, the duals and tableau rows) — the invariants the simplex pivot
+// loops depend on. It also requires that updates are actually absorbed, so
+// the checks exercise the updated factor and not only fresh factorizations.
 func TestLUEtaUpdate(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
+	absorbed := 0
 	for trial := 0; trial < 20; trial++ {
 		m := 5 + rng.Intn(30)
 		extra := 10
@@ -152,10 +172,9 @@ func TestLUEtaUpdate(t *testing.T) {
 			t.Fatalf("trial %d: initial factorize failed", trial)
 		}
 
-		var a, w, out spVec
+		var a, w spVec
 		a.grow(m)
 		w.grow(m)
-		out.grow(m)
 
 		for step := 0; step < extra; step++ {
 			enter := m + step
@@ -175,38 +194,20 @@ func TestLUEtaUpdate(t *testing.T) {
 			if leave < 0 {
 				t.Fatalf("trial %d step %d: zero transformed column", trial, step)
 			}
-			if !f.update(leave, &w) {
+			basis[leave] = enter
+			if f.update(leave, &w) {
+				absorbed++
+			} else if !f.factorize(m, basis, colIdx, colVal) {
 				// Numerically rejected: refactorize from the exchanged basis.
-				basis[leave] = enter
-				if !f.factorize(m, basis, colIdx, colVal) {
-					t.Fatalf("trial %d step %d: refactorize after rejected eta failed", trial, step)
-				}
-			} else {
-				basis[leave] = enter
+				t.Fatalf("trial %d step %d: refactorize after rejected update failed", trial, step)
 			}
-
-			// Contract check: x = ftran(e_r + noise) satisfies B_new x = rhs.
-			a.reset()
-			rhs := make([]float64, m)
-			for k := 0; k < 2; k++ {
-				i := int32(rng.Intn(m))
-				v := rng.Float64()*2 - 1
-				a.add(i, v)
-				rhs[i] += v
-			}
-			f.ftran(&a, &out)
-			x := make([]float64, m)
-			for _, i := range out.ind {
-				x[i] = out.val[i]
-			}
-			got := mulBasis(m, basis, colIdx, colVal, x)
-			for i := 0; i < m; i++ {
-				if math.Abs(got[i]-rhs[i]) > 1e-7 {
-					t.Fatalf("trial %d step %d: post-eta FTRAN residual %g at row %d (etas=%d)",
-						trial, step, got[i]-rhs[i], i, f.etaCount())
-				}
-			}
+			where := fmt.Sprintf("trial %d step %d", trial, step)
+			checkFTRAN(t, rng, f, basis, colIdx, colVal, 1e-7, where)
+			checkBTRAN(t, rng, f, basis, colIdx, colVal, 1e-7, where)
 		}
+	}
+	if absorbed == 0 {
+		t.Fatal("every update was rejected; the updated factor was never checked")
 	}
 }
 

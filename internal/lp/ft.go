@@ -2,18 +2,16 @@ package lp
 
 import "math"
 
-// This file implements Forrest-Tomlin basis updates (Options.Update ==
-// UpdateFT, the default) for the sparse LU engine in factor.go. Where the
-// product-form eta file leaves L and U frozen and pays one extra eta gather
-// per FTRAN/BTRAN for every exchange since the last refactorization, the
-// Forrest-Tomlin scheme edits U itself: the FTRAN-transformed entering
-// column becomes a spike replacing the leaving column of U, the spiked
-// row/column pair is cyclically permuted to the end of the elimination
-// order, and the resulting last-row spike is eliminated with one sparse row
-// eta (recorded between L and U in the factor product, B = L R1..Rk U).
-// U stays triangular in the permuted order and near factorization density,
-// so the solves do not degrade as updates accumulate — which is what lets
-// the refactorization interval stretch (ftUpdateCap) past the eta file's.
+// This file implements Forrest-Tomlin basis updates for the sparse LU
+// factorization in factor.go. The scheme edits U itself: the
+// FTRAN-transformed entering column becomes a spike replacing the leaving
+// column of U, the spiked row/column pair is cyclically permuted to the end
+// of the elimination order, and the resulting last-row spike is eliminated
+// with one sparse row eta (recorded between L and U in the factor product,
+// B = L R1..Rk U). U stays triangular in the permuted order and near
+// factorization density, so the solves do not degrade as updates
+// accumulate, which is what lets the refactorization interval stretch to
+// ftUpdateCap exchanges.
 //
 // The mutable U lives in per-slot growable row arrays plus per-column
 // scatter lists with generation-stamped lazy invalidation: clearing a row
@@ -23,10 +21,8 @@ import "math"
 // change, only its position in the elimination order (ftSeq/ftPosOf) does.
 
 const (
-	// ftUpdateCap bounds the updates absorbed between refactorizations.
-	// Deliberately looser than the eta file's 96: FT solves pay only for the
-	// short row etas, not one gather per exchange, so longer intervals are
-	// where the scheme wins.
+	// ftUpdateCap bounds the updates absorbed between refactorizations. FT
+	// solves pay only for the short row etas, so long intervals are cheap.
 	ftUpdateCap = 192
 )
 
@@ -34,8 +30,7 @@ const (
 // its row-eta file, embedded in luFactor and rebuilt by ftInit at every
 // refactorization.
 type ftState struct {
-	on      bool // FT mode: ftInit ran for the current factorization
-	updates int  // exchanges absorbed since the last refactorization
+	updates int // exchanges absorbed since the last refactorization
 
 	piv    []float64 // per-slot pivot value (replaces upiv)
 	rowInd [][]int32 // per-slot off-pivot row entries: basis positions...
@@ -82,7 +77,6 @@ type ftState struct {
 // across refactorizations.
 func (f *luFactor) ftInit(m int) {
 	ft := &f.ft
-	ft.on = true
 	ft.updates = 0
 	if cap(ft.piv) < m {
 		ft.piv = make([]float64, m)
@@ -176,12 +170,16 @@ func (f *luFactor) ftInit(m int) {
 	ft.acc.grow(m)
 }
 
-// ftUpdate folds one basis exchange into the dynamic factorization: w is the
+// update folds one basis exchange into the dynamic factorization: w is the
 // FTRAN-transformed entering column (indexed by basis position) and leave the
 // basis position it replaces. Returns false — leaving the representation
 // untouched — when the new pivot of the spiked slot is too small relative to
-// the spike, in which case the caller must refactorize.
-func (f *luFactor) ftUpdate(leave int32, w *spVec) bool {
+// the spike, in which case the caller must refactorize (the basis itself,
+// already exchanged, stays valid).
+func (f *luFactor) update(leave int32, w *spVec) bool {
+	if f.testRejectUpdates {
+		return false
+	}
 	ft := &f.ft
 	m := f.m
 	t := f.stepOf[leave] // the leaving position's slot keeps its identity
@@ -330,116 +328,4 @@ func (f *luFactor) ftUpdate(leave int32, w *spVec) bool {
 	}
 	ft.updates++
 	return true
-}
-
-// ftApplyEtas applies the row-eta file to a row-space vector between the L
-// forward pass and the U solve of an FTRAN.
-func (f *luFactor) ftApplyEtas(a *spVec) {
-	ft := &f.ft
-	for e := 0; e < len(ft.etaR); e++ {
-		s := 0.0
-		for q := ft.etaPtr[e]; q < ft.etaPtr[e+1]; q++ {
-			s += ft.etaMul[q] * a.val[ft.etaRow[q]]
-		}
-		if s != 0 {
-			a.add(ft.etaR[e], -s)
-		}
-	}
-}
-
-// ftranFT is the FTRAN U stage over the dynamic factor: back substitution in
-// reverse elimination order, scattering each solved component through its
-// column list. Input a is in row space (L pass and row etas already applied);
-// the result is indexed by basis position.
-func (f *luFactor) ftranFT(a, out *spVec) {
-	ft := &f.ft
-	out.reset()
-	for p := f.m - 1; p >= 0; p-- {
-		s := ft.seq[p]
-		t := a.val[f.prow[s]]
-		if t == 0 {
-			continue
-		}
-		t /= ft.piv[s]
-		c := f.pcol[s]
-		out.set(c, t)
-		slots := ft.colSlot[c]
-		gens := ft.colGen[c]
-		vals := ft.colVal[c]
-		for q := 0; q < len(slots); q++ {
-			s2 := slots[q]
-			if gens[q] != ft.rowGen[s2] {
-				continue
-			}
-			a.add(f.prow[s2], -vals[q]*t)
-		}
-	}
-}
-
-// btranFT is the BTRAN U stage plus transposed row etas: solve z U = c in
-// elimination order through the dynamic rows, then apply the eta file
-// transposed in reverse. Input c is indexed by basis position; the result
-// (in row space) still needs the transposed L pass.
-func (f *luFactor) btranFT(c, out *spVec) {
-	ft := &f.ft
-	out.reset()
-	for p := 0; p < f.m; p++ {
-		s := ft.seq[p]
-		t := c.val[f.pcol[s]]
-		if t == 0 {
-			continue
-		}
-		t /= ft.piv[s]
-		out.set(f.prow[s], t)
-		idx := ft.rowInd[s]
-		vals := ft.rowVal[s]
-		for q := range idx {
-			c.add(idx[q], -vals[q]*t)
-		}
-	}
-	for e := len(ft.etaR) - 1; e >= 0; e-- {
-		t := out.val[ft.etaR[e]]
-		if t == 0 {
-			continue
-		}
-		for q := ft.etaPtr[e]; q < ft.etaPtr[e+1]; q++ {
-			out.add(ft.etaRow[q], -ft.etaMul[q]*t)
-		}
-	}
-}
-
-// ftranDenseFT mirrors ftranFT for a dense right-hand side (the periodic
-// basic-value refresh).
-func (f *luFactor) ftranDenseFT(a, out []float64) {
-	ft := &f.ft
-	for e := 0; e < len(ft.etaR); e++ {
-		s := 0.0
-		for q := ft.etaPtr[e]; q < ft.etaPtr[e+1]; q++ {
-			s += ft.etaMul[q] * a[ft.etaRow[q]]
-		}
-		a[ft.etaR[e]] -= s
-	}
-	for i := range out[:f.m] {
-		out[i] = 0
-	}
-	for p := f.m - 1; p >= 0; p-- {
-		s := ft.seq[p]
-		t := a[f.prow[s]]
-		if t == 0 {
-			continue
-		}
-		t /= ft.piv[s]
-		c := f.pcol[s]
-		out[c] = t
-		slots := ft.colSlot[c]
-		gens := ft.colGen[c]
-		vals := ft.colVal[c]
-		for q := 0; q < len(slots); q++ {
-			s2 := slots[q]
-			if gens[q] != ft.rowGen[s2] {
-				continue
-			}
-			a[f.prow[s2]] -= vals[q] * t
-		}
-	}
 }

@@ -68,10 +68,10 @@ func (v *spVec) add(i int32, x float64) {
 	v.val[i] += x
 }
 
-// ftran solves B x = a for the current basis B = B0 * F1 * ... * Fk (the LU
-// factorization B0 composed with the product-form eta updates). The input a
-// is indexed by row; the result is indexed by basis position and written to
-// out (which is reset first). a is consumed (mutated in place).
+// ftran solves B x = a for the current basis B = L R1..Rk U (the LU
+// factorization with its Forrest-Tomlin updates). The input a is indexed by
+// row; the result is indexed by basis position and written to out (which is
+// reset first). a is consumed (mutated in place).
 func (f *luFactor) ftran(a, out *spVec) {
 	m := f.m
 	// Forward pass: replay the row eliminations of the factorization on the
@@ -87,36 +87,39 @@ func (f *luFactor) ftran(a, out *spVec) {
 			a.add(f.lInd[e], -f.lVal[e]*t)
 		}
 	}
-	if f.ft.on {
-		// Forrest-Tomlin: row etas between L and U, then the dynamic U.
-		f.ftApplyEtas(a)
-		f.ftranFT(a, out)
-		return
+	// Row etas of the Forrest-Tomlin updates, between L and U.
+	ft := &f.ft
+	for e := 0; e < len(ft.etaR); e++ {
+		s := 0.0
+		for q := ft.etaPtr[e]; q < ft.etaPtr[e+1]; q++ {
+			s += ft.etaMul[q] * a.val[ft.etaRow[q]]
+		}
+		if s != 0 {
+			a.add(ft.etaR[e], -s)
+		}
 	}
-	// Back substitution on U, column-oriented scatter: once x[pcol[k]] is
-	// known it is substituted out of every earlier pivot row at once.
+	// Back substitution on the dynamic U in reverse elimination order:
+	// once x[pcol[s]] is known it is scattered out of every earlier row
+	// through its column list.
 	out.reset()
-	for k := m - 1; k >= 0; k-- {
-		t := a.val[f.prow[k]]
+	for p := m - 1; p >= 0; p-- {
+		s := ft.seq[p]
+		t := a.val[f.prow[s]]
 		if t == 0 {
 			continue
 		}
-		t /= f.upiv[k]
-		out.set(f.pcol[k], t)
-		for e := f.ucPtr[k]; e < f.ucPtr[k+1]; e++ {
-			a.add(f.prow[f.ucInd[e]], -f.ucVal[e]*t)
-		}
-	}
-	// Eta file: apply the product-form updates in pivot order.
-	for e := 0; e < len(f.etaR); e++ {
-		r := f.etaR[e]
-		t := out.val[r]
-		if t == 0 {
-			continue
-		}
-		out.set(r, f.etaDiag[e]*t)
-		for q := f.etaPtr[e]; q < f.etaPtr[e+1]; q++ {
-			out.add(f.etaInd[q], f.etaVal[q]*t)
+		t /= ft.piv[s]
+		c := f.pcol[s]
+		out.set(c, t)
+		slots := ft.colSlot[c]
+		gens := ft.colGen[c]
+		vals := ft.colVal[c]
+		for q := 0; q < len(slots); q++ {
+			s2 := slots[q]
+			if gens[q] != ft.rowGen[s2] {
+				continue
+			}
+			a.add(f.prow[s2], -vals[q]*t)
 		}
 	}
 }
@@ -126,37 +129,32 @@ func (f *luFactor) ftran(a, out *spVec) {
 // first). c is consumed.
 func (f *luFactor) btran(c, out *spVec) {
 	m := f.m
-	if f.ft.on {
-		// Forrest-Tomlin: dynamic U solve plus transposed row etas, then the
-		// shared transposed L pass below.
-		f.btranFT(c, out)
-	} else {
-		// Eta file in reverse: right-multiplying by F^{-1} changes only the
-		// pivot-position entry (a short gather per eta).
-		for e := len(f.etaR) - 1; e >= 0; e-- {
-			r := f.etaR[e]
-			d := f.etaDiag[e] * c.val[r]
-			for q := f.etaPtr[e]; q < f.etaPtr[e+1]; q++ {
-				d += f.etaVal[q] * c.val[f.etaInd[q]]
-			}
-			if d != 0 || c.val[r] != 0 {
-				c.set(r, d)
-			}
+	// Solve z U = c in elimination order, scattering each solved component
+	// through its dynamic pivot row. Zero components skip entirely.
+	ft := &f.ft
+	out.reset()
+	for p := 0; p < m; p++ {
+		s := ft.seq[p]
+		t := c.val[f.pcol[s]]
+		if t == 0 {
+			continue
 		}
-		// Solve z U = c in pivot order, scattering each solved component
-		// through the pivot row (row-oriented U). Zero components skip
-		// entirely.
-		out.reset()
-		for k := 0; k < m; k++ {
-			t := c.val[f.pcol[k]]
-			if t == 0 {
-				continue
-			}
-			t /= f.upiv[k]
-			out.set(f.prow[k], t)
-			for e := f.urPtr[k]; e < f.urPtr[k+1]; e++ {
-				c.add(f.urInd[e], -f.urVal[e]*t)
-			}
+		t /= ft.piv[s]
+		out.set(f.prow[s], t)
+		idx := ft.rowInd[s]
+		vals := ft.rowVal[s]
+		for q := range idx {
+			c.add(idx[q], -vals[q]*t)
+		}
+	}
+	// Row etas transposed, in reverse.
+	for e := len(ft.etaR) - 1; e >= 0; e-- {
+		t := out.val[ft.etaR[e]]
+		if t == 0 {
+			continue
+		}
+		for q := ft.etaPtr[e]; q < ft.etaPtr[e+1]; q++ {
+			out.add(ft.etaRow[q], -ft.etaMul[q]*t)
 		}
 	}
 	// Transposed elimination pass: y[prow[k]] -= sum L_k[i] * y[i], in
@@ -186,33 +184,35 @@ func (f *luFactor) ftranDense(a, out []float64) {
 			a[f.lInd[e]] -= f.lVal[e] * t
 		}
 	}
-	if f.ft.on {
-		f.ftranDenseFT(a, out)
-		return
+	ft := &f.ft
+	for e := 0; e < len(ft.etaR); e++ {
+		s := 0.0
+		for q := ft.etaPtr[e]; q < ft.etaPtr[e+1]; q++ {
+			s += ft.etaMul[q] * a[ft.etaRow[q]]
+		}
+		a[ft.etaR[e]] -= s
 	}
 	for i := range out[:m] {
 		out[i] = 0
 	}
-	for k := m - 1; k >= 0; k-- {
-		t := a[f.prow[k]]
+	for p := m - 1; p >= 0; p-- {
+		s := ft.seq[p]
+		t := a[f.prow[s]]
 		if t == 0 {
 			continue
 		}
-		t /= f.upiv[k]
-		out[f.pcol[k]] = t
-		for e := f.ucPtr[k]; e < f.ucPtr[k+1]; e++ {
-			a[f.prow[f.ucInd[e]]] -= f.ucVal[e] * t
-		}
-	}
-	for e := 0; e < len(f.etaR); e++ {
-		r := f.etaR[e]
-		t := out[r]
-		if t == 0 {
-			continue
-		}
-		out[r] = f.etaDiag[e] * t
-		for q := f.etaPtr[e]; q < f.etaPtr[e+1]; q++ {
-			out[f.etaInd[q]] += f.etaVal[q] * t
+		t /= ft.piv[s]
+		c := f.pcol[s]
+		out[c] = t
+		slots := ft.colSlot[c]
+		gens := ft.colGen[c]
+		vals := ft.colVal[c]
+		for q := 0; q < len(slots); q++ {
+			s2 := slots[q]
+			if gens[q] != ft.rowGen[s2] {
+				continue
+			}
+			a[f.prow[s2]] -= vals[q] * t
 		}
 	}
 }

@@ -10,21 +10,20 @@ import (
 	"testing"
 )
 
-// pricing_test.go covers the pluggable pricing layer and its interaction
-// with presolve: a differential fuzz over the full pricing-rule × presolve
-// matrix against the dense Dantzig reference (with a JSON reproducer dump on
-// any mismatch), a steady-state allocation pin for the incremental pricing
-// path, and benchmarks for the pricing rules, the bound-flipping dual ratio
+// pricing_test.go covers the pricing layer and its interaction with
+// presolve and the primary dual algorithm: a differential fuzz over the
+// presolve × algorithm matrix against the independent reference simplex
+// (with a JSON reproducer dump on any mismatch), the warm dive through the
+// snapshot-restore path, a steady-state allocation pin for the incremental
+// pricing path, and benchmarks for pricing, the bound-flipping dual ratio
 // test and the presolve pass itself.
 
 // lpRepro is the JSON shape of a dumped fuzz reproducer: the full problem
 // plus the configuration that disagreed with the reference. Bounds are
 // strings so infinities survive encoding/json.
 type lpRepro struct {
-	Pricing   string     `json:"pricing"`
 	Presolve  string     `json:"presolve"`
-	Algorithm string     `json:"algorithm,omitempty"`
-	Update    string     `json:"update,omitempty"`
+	Algorithm string     `json:"algorithm"`
 	Detail    string     `json:"detail"`
 	Vars      []reproVar `json:"vars"`
 	Rows      []reproRow `json:"rows"`
@@ -49,8 +48,7 @@ func ffield(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 // RNG state.
 func dumpReproducer(t *testing.T, p *Problem, o Options, detail string) {
 	t.Helper()
-	repro := lpRepro{Pricing: o.Pricing.String(), Presolve: o.Presolve.String(),
-		Algorithm: o.Algorithm.String(), Update: o.Update.String(), Detail: detail}
+	repro := lpRepro{Presolve: o.Presolve.String(), Algorithm: o.Algorithm.String(), Detail: detail}
 	for j := 0; j < p.NumVars(); j++ {
 		lo, hi := p.VarBounds(j)
 		repro.Vars = append(repro.Vars, reproVar{Lo: ffield(lo), Hi: ffield(hi), Cost: p.Cost(j)})
@@ -75,8 +73,7 @@ func dumpReproducer(t *testing.T, p *Problem, o Options, detail string) {
 }
 
 // feasViolation reports the first primal feasibility violation of x, or ""
-// — the non-fatal sibling of checkFeasible so the matrix fuzz can dump a
-// reproducer before failing.
+// — non-fatal so the matrix fuzz can dump a reproducer before failing.
 func feasViolation(p *Problem, x []float64) string {
 	const tol = 1e-6
 	for j := 0; j < p.NumVars(); j++ {
@@ -109,24 +106,16 @@ func feasViolation(p *Problem, x []float64) string {
 	return ""
 }
 
-// TestPricingPresolveDifferential fuzzes random LPs through the full
-// pricing rule × presolve mode × algorithm (primal/dual) × basis-update
-// scheme (FT/PFI) matrix on the sparse engine and requires agreement with
-// the dense Dantzig no-presolve reference on status, objective and primal
-// feasibility. Any mismatch dumps a standalone JSON reproducer. This is the
-// answer-preservation gate for the whole configurable LP engine: pricing,
-// the update scheme and the dual algorithm only change the pivot sequence,
-// never the optimum.
+// TestPricingPresolveDifferential fuzzes random LPs through the presolve
+// mode × algorithm (primal/dual) matrix and requires agreement with the
+// independent reference simplex on status, objective and primal
+// feasibility. Any mismatch dumps a standalone JSON reproducer. Presolve and
+// the dual algorithm only change the path to the optimum, never the optimum.
 func TestPricingPresolveDifferential(t *testing.T) {
 	var configs []Options
-	for _, pr := range []Pricing{PricingDantzig, PricingDevex, PricingSteepest} {
-		for _, ps := range []PresolveMode{PresolveOff, PresolveAuto} {
-			for _, alg := range []Algorithm{AlgorithmPrimal, AlgorithmDual} {
-				for _, up := range []Update{UpdateFT, UpdatePFI} {
-					configs = append(configs, Options{Engine: EngineSparse,
-						Pricing: pr, Presolve: ps, Algorithm: alg, Update: up})
-				}
-			}
+	for _, ps := range []PresolveMode{PresolveOff, PresolveAuto} {
+		for _, alg := range []Algorithm{AlgorithmPrimal, AlgorithmDual} {
+			configs = append(configs, Options{Presolve: ps, Algorithm: alg})
 		}
 	}
 	rng := rand.New(rand.NewSource(20150608))
@@ -137,17 +126,14 @@ func TestPricingPresolveDifferential(t *testing.T) {
 	counts := map[Status]int{}
 	for trial := 0; trial < trials; trial++ {
 		p := randomLP(rng)
-		ref := cloneProblem(p).Solve(Options{
-			Engine: EngineDense, Pricing: PricingDantzig, Presolve: PresolveOff})
+		ref := refSolve(p)
 		counts[ref.Status]++
 		for _, cfg := range configs {
-			q := cloneProblem(p)
-			r := q.Solve(cfg)
+			r := cloneProblem(p).Solve(cfg)
 			fail := func(format string, args ...interface{}) {
 				detail := fmt.Sprintf(format, args...)
 				dumpReproducer(t, p, cfg, detail)
-				t.Fatalf("trial %d [%v/%v/%v/%v]: %s", trial,
-					cfg.Pricing, cfg.Presolve, cfg.Algorithm, cfg.Update, detail)
+				t.Fatalf("trial %d [%v/%v]: %s", trial, cfg.Presolve, cfg.Algorithm, detail)
 			}
 			if r.Status != ref.Status {
 				fail("status %v, reference %v", r.Status, ref.Status)
@@ -170,86 +156,52 @@ func TestPricingPresolveDifferential(t *testing.T) {
 	}
 }
 
-// TestPricingWarmDive runs the warm-started branch-and-bound-style dive of
-// TestEngineDifferentialWarm under every pricing rule and requires identical
-// statuses and objectives — the dual restore path (including BFRT) must be
-// answer-preserving too.
+// TestPricingWarmDive runs the warm dive of TestEngineDifferentialWarm with
+// every node solved on a fresh clone of the problem, so no cached engine
+// exists and each warm start loads the basis snapshot (warmSolve:
+// refactorization of the snapshot, dual restore with the bound-flipping
+// ratio test, primal certification) — the other warm path.
 func TestPricingWarmDive(t *testing.T) {
-	const n = 6
-	run := func(pr Pricing) ([]Status, []float64) {
-		p := assignmentLP(n)
-		res := p.Solve(Options{SnapshotBasis: true, Pricing: pr})
-		if res.Status != Optimal {
-			t.Fatalf("pricing %v: root status %v", pr, res.Status)
+	warmDive(t, 6, func(p *Problem, basis *Basis) Result {
+		q := cloneProblem(p)
+		r := q.Solve(Options{WarmStart: basis, SnapshotBasis: true})
+		if !r.Stats.WarmStarted && r.Status == Optimal {
+			t.Fatal("snapshot warm start fell back to the cold solve")
 		}
-		basis := res.Basis
-		var sts []Status
-		var objs []float64
-		for step := 0; step < 3*n; step++ {
-			j := (step * 7) % (n * n)
-			v := float64(step % 2)
-			p.SetVarBounds(j, v, v)
-			r := p.Solve(Options{WarmStart: basis, SnapshotBasis: true, Pricing: pr})
-			sts = append(sts, r.Status)
-			objs = append(objs, r.Obj)
-			if r.Status != Optimal {
-				break
-			}
-			if r.Basis != nil {
-				basis = r.Basis
-			}
-		}
-		return sts, objs
-	}
-	refSt, refObj := run(PricingDantzig)
-	for _, pr := range []Pricing{PricingDevex, PricingSteepest} {
-		sts, objs := run(pr)
-		if len(sts) != len(refSt) {
-			t.Fatalf("pricing %v: dive length %d, dantzig %d", pr, len(sts), len(refSt))
-		}
-		for k := range sts {
-			if sts[k] != refSt[k] {
-				t.Fatalf("pricing %v node %d: status %v, dantzig %v", pr, k, sts[k], refSt[k])
-			}
-			if sts[k] == Optimal && math.Abs(objs[k]-refObj[k]) > 1e-6 {
-				t.Fatalf("pricing %v node %d: obj %g, dantzig %g", pr, k, objs[k], refObj[k])
-			}
-		}
-	}
+		return r
+	})
 }
 
-// TestPricingSteadyStateAllocs pins the warm-reoptimization allocation count
-// under each pricing rule: the incremental pricing update, candidate list
-// and devex/steepest weight recurrences must all run on pooled buffers, so
-// steady-state node solves stay allocation-free per iteration.
+// TestPricingSteadyStateAllocs pins the warm-reoptimization allocation
+// count: the incremental pricing update, candidate list and devex weight
+// recurrences must all run on pooled buffers, so steady-state node solves
+// stay allocation-free per iteration.
 func TestPricingSteadyStateAllocs(t *testing.T) {
 	if testing.CoverMode() != "" {
 		t.Skip("coverage instrumentation allocates")
 	}
-	for _, pr := range []Pricing{PricingDantzig, PricingDevex, PricingSteepest} {
-		p := assignmentLP(6)
-		res := p.Solve(Options{SnapshotBasis: true, Pricing: pr})
-		if res.Status != Optimal {
-			t.Fatalf("pricing %v: root status %v", pr, res.Status)
+	p := assignmentLP(6)
+	res := p.Solve(Options{SnapshotBasis: true})
+	if res.Status != Optimal {
+		t.Fatalf("root status %v", res.Status)
+	}
+	basis := res.Basis
+	step := 0
+	avg := testing.AllocsPerRun(50, func() {
+		j := (step * 7) % p.NumVars()
+		v := float64(step % 2)
+		p.SetVarBounds(j, v, v)
+		r := p.Solve(Options{WarmStart: basis, SnapshotBasis: true})
+		if r.Status == Optimal && r.Basis != nil {
+			basis = r.Basis
 		}
-		basis := res.Basis
-		step := 0
-		avg := testing.AllocsPerRun(50, func() {
-			j := (step * 7) % p.NumVars()
-			v := float64(step % 2)
-			p.SetVarBounds(j, v, v)
-			r := p.Solve(Options{WarmStart: basis, SnapshotBasis: true, Pricing: pr})
-			if r.Status == Optimal && r.Basis != nil {
-				basis = r.Basis
-			}
-			step++
-		})
-		// The fixed per-solve overhead (basis snapshot, result assembly) is
-		// ~a dozen allocations; anything scaling with iterations would land
-		// far above this pin.
-		if avg > 20 {
-			t.Errorf("pricing %v: %.1f allocs per warm solve, want <= 20", pr, avg)
-		}
+		step++
+	})
+	// The fixed per-solve overhead (basis snapshot, result assembly) is
+	// ~a dozen allocations; anything scaling with iterations would land
+	// far above this pin.
+	if avg > 20 {
+		t.Errorf("%.1f allocs per warm solve, want <= 20", avg)
 	}
 }
 
@@ -281,25 +233,20 @@ func pricingBenchLP(n int) *Problem {
 	return p
 }
 
-// BenchmarkPricing times a cold solve of the same LP under each pricing
-// rule (presolve off, so the comparison isolates the pricing loop), and
-// reports the iteration count the rule needed.
+// BenchmarkPricing times a cold solve of a transportation LP (presolve off,
+// so the timing isolates the pricing loop), and reports the iteration count.
 func BenchmarkPricing(b *testing.B) {
-	for _, pr := range []Pricing{PricingDantzig, PricingDevex, PricingSteepest} {
-		b.Run(pr.String(), func(b *testing.B) {
-			iters := 0
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				p := pricingBenchLP(16)
-				r := p.Solve(Options{Pricing: pr, Presolve: PresolveOff})
-				if r.Status != Optimal {
-					b.Fatalf("status %v", r.Status)
-				}
-				iters = r.Iters
-			}
-			b.ReportMetric(float64(iters), "simplex-iters")
-		})
+	iters := 0
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		p := pricingBenchLP(16)
+		r := p.Solve(Options{Presolve: PresolveOff})
+		if r.Status != Optimal {
+			b.Fatalf("status %v", r.Status)
+		}
+		iters = r.Iters
 	}
+	b.ReportMetric(float64(iters), "simplex-iters")
 }
 
 // BenchmarkDualBoundFlip times the warm-started dual restore on a heavily

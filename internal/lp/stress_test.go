@@ -7,7 +7,9 @@ import (
 )
 
 // Random 3-variable LPs cross-checked against exhaustive vertex enumeration
-// (all triples of active constraints from the rows and box faces).
+// (all triples of active constraints from the rows and box faces). The
+// reference simplex (reference_test.go) must agree with the enumeration
+// too: the brute force is what vouches for the differential tests' oracle.
 func TestRandom3DAgainstVertexEnumeration(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
 	const lim = 30.0
@@ -35,6 +37,7 @@ func TestRandom3DAgainstVertexEnumeration(t *testing.T) {
 			p.AddConstraint([]Coef{{x, r.a}, {y, r.b}, {z, r.c}}, LE, r.d)
 		}
 		res := p.Solve(Options{})
+		ref := refSolve(p)
 
 		// Enumerate candidate vertices from all planes (constraints + box
 		// faces), solving each 3x3 system.
@@ -86,6 +89,9 @@ func TestRandom3DAgainstVertexEnumeration(t *testing.T) {
 			if res.Status != Infeasible {
 				t.Fatalf("trial %d: enumeration found nothing feasible, solver says %v", trial, res.Status)
 			}
+			if ref.Status != Infeasible {
+				t.Fatalf("trial %d: enumeration found nothing feasible, reference says %v", trial, ref.Status)
+			}
 			continue
 		}
 		if res.Status != Optimal {
@@ -93,6 +99,12 @@ func TestRandom3DAgainstVertexEnumeration(t *testing.T) {
 		}
 		if math.Abs(res.Obj-best) > 1e-4 {
 			t.Fatalf("trial %d: solver %v vs enumeration %v", trial, res.Obj, best)
+		}
+		if ref.Status != Optimal {
+			t.Fatalf("trial %d: reference %v, enumeration best %v", trial, ref.Status, best)
+		}
+		if math.Abs(ref.Obj-best) > 1e-4 {
+			t.Fatalf("trial %d: reference %v vs enumeration %v", trial, ref.Obj, best)
 		}
 	}
 }
